@@ -87,6 +87,22 @@ Result<double> IntegrateSegments(const std::function<double(double)>& f,
                                  const std::vector<double>& breaks,
                                  const QuadratureOptions& options = {});
 
+/// \brief One Neumaier (improved Kahan) step on a raw (sum, compensation)
+/// pair: the compensation gains the rounding error of sum + x, taken from
+/// the larger-magnitude operand's side. Both arms are computed and one is
+/// selected instead of branching; the floating-point operations on the
+/// taken arm are exactly the textbook branch's, so the bits are the same,
+/// and a loop over many column accumulators vectorizes.
+inline void NeumaierAdd(double& sum, double& compensation, double x) {
+  const double t = sum + x;
+  const double sum_larger = (sum - t) + x;
+  const double x_larger = (x - t) + sum;
+  const double abs_sum = sum < 0.0 ? -sum : sum;
+  const double abs_x = x < 0.0 ? -x : x;
+  compensation += abs_sum >= abs_x ? sum_larger : x_larger;
+  sum = t;
+}
+
 /// \brief Neumaier (improved Kahan) compensated accumulator.
 ///
 /// Add() is defined inline: aggregation loops call it once per ingested
@@ -95,15 +111,7 @@ Result<double> IntegrateSegments(const std::function<double(double)>& f,
 class NeumaierSum {
  public:
   /// Adds one term.
-  void Add(double x) {
-    const double t = sum_ + x;
-    if (Abs(sum_) >= Abs(x)) {
-      compensation_ += (sum_ - t) + x;
-    } else {
-      compensation_ += (x - t) + sum_;
-    }
-    sum_ = t;
-  }
+  void Add(double x) { NeumaierAdd(sum_, compensation_, x); }
   /// Folds another accumulator in (parallel-reduction support).
   void Merge(const NeumaierSum& other) { Add(other.Total()); }
 
@@ -160,9 +168,6 @@ class NeumaierSum {
   }
 
  private:
-  // Branch-free |x| without pulling <cmath> into this low-level header.
-  static double Abs(double x) { return x < 0.0 ? -x : x; }
-
   double sum_ = 0.0;
   double compensation_ = 0.0;
 };

@@ -3,9 +3,11 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 
-#include "common/math.h"
+#include "common/thread_pool.h"
 
 namespace hdldp {
 namespace data {
@@ -57,30 +59,59 @@ Status CheckChunkIndex(const ChunkSource& source, std::size_t chunk) {
 }  // namespace
 
 Result<std::vector<double>> ChunkSource::TrueMean() const {
-  const std::size_t d = num_dims();
-  const std::size_t n = num_users();
-  if (n == 0 || d == 0) {
+  if (num_users() == 0 || num_dims() == 0) {
     return Status::FailedPrecondition("TrueMean requires a non-empty source");
   }
-  // Chunks in order means every column's compensated sum sees users in
-  // exactly the order Dataset::TrueMean visits them — same bits.
-  std::vector<NeumaierSum> sums(d);
-  ChunkBuffer buffer;
-  for (std::size_t c = 0; c < num_chunks(); ++c) {
-    HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                           Chunk(c, &buffer));
-    const std::size_t users = ChunkUsers(c);
-    for (std::size_t i = 0; i < users; ++i) {
-      const double* row = rows.data() + i * d;
-      for (std::size_t j = 0; j < d; ++j) sums[j].Add(row[j]);
-    }
-  }
-  std::vector<double> mean(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    mean[j] = sums[j].Total() / static_cast<double>(n);
-  }
-  return mean;
+  return OrderedColumnMean(*this, [](double v, std::size_t) { return v; });
 }
+
+ChunkBuffer& PerThreadChunkBuffer() {
+  static thread_local ChunkBuffer buffer;
+  return buffer;
+}
+
+namespace internal {
+
+Status OrderedChunkPass(
+    const ChunkSource& source,
+    const std::function<void(std::span<const double> rows)>& fold) {
+  const std::size_t d = source.num_dims();
+  // Folds run strictly in chunk order: the worker holding chunk c waits
+  // until `turn == c`. ParallelFor's cursor hands chunks out in index
+  // order, so every chunk below c is already held by a running worker
+  // that never waits on c — the chain always drains, even when the
+  // calling thread ends up pulling every chunk alone. Fold state needs
+  // no lock of its own: only the turn holder touches it, and the mutex
+  // orders each fold before the next turn's.
+  std::mutex mutex;
+  std::condition_variable turn_advanced;
+  std::size_t turn = 0;
+  Status first_error;
+  ThreadPool::Shared().ParallelFor(0, source.num_chunks(), [&](std::size_t c) {
+    Result<std::span<const double>> pulled =
+        source.Chunk(c, &PerThreadChunkBuffer());
+    std::unique_lock<std::mutex> lock(mutex);
+    turn_advanced.wait(lock, [&] { return turn == c; });
+    lock.unlock();
+    if (first_error.ok()) {
+      const std::size_t values = source.ChunkUsers(c) * d;
+      if (!pulled.ok()) {
+        first_error = pulled.status();
+      } else if (pulled.value().size() < values) {
+        first_error = Status::Internal("chunk pull returned too few rows");
+      } else {
+        fold(pulled.value().first(values));
+      }
+    }
+    lock.lock();
+    ++turn;
+    lock.unlock();
+    turn_advanced.notify_all();
+  });
+  return first_error;
+}
+
+}  // namespace internal
 
 Result<std::span<const double>> ResidentChunkSource::Chunk(
     std::size_t chunk, ChunkBuffer* /*buffer*/) const {
@@ -140,7 +171,7 @@ Result<std::vector<double>> MaterializeRows(const ChunkSource& source,
     return Status::OutOfRange("MaterializeRows range exceeds num_users");
   }
   std::vector<double> out(row_count * d);
-  ChunkBuffer buffer;
+  ChunkBuffer& buffer = PerThreadChunkBuffer();
   std::size_t row = first_row;
   while (row < first_row + row_count) {
     const std::size_t chunk = row / kUsersPerChunk;

@@ -34,9 +34,11 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
+#include "data/column_fold.h"
 #include "data/dataset.h"
 
 namespace hdldp {
@@ -112,12 +114,18 @@ class ChunkSource {
   virtual Result<std::span<const double>> Chunk(std::size_t chunk,
                                                 ChunkBuffer* buffer) const = 0;
 
-  /// \brief Per-dimension mean (the paper's theta-bar) as one streaming
-  /// pass over the chunks in order — per-column compensated sums see
-  /// users in exactly the order Dataset::TrueMean visits them, so the
-  /// result is bit-identical to the resident computation. Sources with a
-  /// cheaper path (the resident adapter's memoized Dataset pass) may
-  /// override.
+  /// \brief Per-dimension mean (the paper's theta-bar) as one
+  /// OrderedColumnMean pass over the chunks: per-column compensated sums
+  /// see users in exactly the order Dataset::TrueMean visits them, so the
+  /// result is bit-identical to the resident computation.
+  ///
+  /// The pass pulls chunks in parallel on ThreadPool::Shared(), holding
+  /// up to one chunk per pool thread, and returns the status of a failed
+  /// pull. It ignores the pipelines' thread count, which cannot change a
+  /// bit. It pulls through PerThreadChunkBuffer(), so it must not be
+  /// called from inside an engine chunk body (it would clobber the body's
+  /// rows). Sources with a cheaper path (the resident adapter's memoized
+  /// Dataset pass) may override.
   virtual Result<std::vector<double>> TrueMean() const;
 };
 
@@ -179,6 +187,40 @@ class TransformedChunkSource final : public ChunkSource {
   const ChunkSource* base_;
   std::function<double(double)> transform_;
 };
+
+/// \brief The calling thread's ChunkBuffer. Engine chunk bodies and the
+/// ordered column pass pull through it, so each thread keeps one
+/// chunk-sized allocation for its lifetime instead of one per call. A span
+/// pulled into it is valid until the same thread's next pull through it:
+/// code holding such a span must not call anything that pulls on the same
+/// thread (TrueMean, MaterializeRows, OrderedColumnMean).
+ChunkBuffer& PerThreadChunkBuffer();
+
+namespace internal {
+
+/// \brief Pulls every chunk of `source` once, in parallel on
+/// ThreadPool::Shared() (workers claim chunks in index order, each into
+/// its PerThreadChunkBuffer()), and calls `fold` on each chunk's rows
+/// (ChunkUsers(c) * num_dims doubles, row-major) strictly in chunk order,
+/// one at a time. A failed pull still takes its turn: the lowest-indexed
+/// failure's status is returned and no later chunk is folded.
+Status OrderedChunkPass(
+    const ChunkSource& source,
+    const std::function<void(std::span<const double> rows)>& fold);
+
+}  // namespace internal
+
+/// \brief ColumnMeanFold over every user of `source`, through one
+/// internal::OrderedChunkPass: same bits as folding the rows serially,
+/// for any pool size.
+template <typename Map>
+Result<std::vector<double>> OrderedColumnMean(const ChunkSource& source,
+                                              Map map) {
+  ColumnMeanFold<Map> fold(source.num_dims(), std::move(map));
+  HDLDP_RETURN_NOT_OK(internal::OrderedChunkPass(
+      source, [&](std::span<const double> rows) { fold.Add(rows); }));
+  return fold.Means(source.num_users());
+}
 
 /// \brief Copies rows [first_row, first_row + row_count) of `source` into
 /// a flat row-major vector (row_count * num_dims doubles). For small

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/math.h"
+#include "data/column_fold.h"
 
 namespace hdldp {
 namespace data {
@@ -47,18 +48,15 @@ std::vector<double> Dataset::TrueMean() const {
   const std::shared_ptr<const MeanCache> cached =
       mean_cache_.load(std::memory_order_acquire);
   if (cached != nullptr && cached->version == version_) return cached->mean;
-  // Column sums with compensated accumulation; one pass over the matrix.
-  std::vector<NeumaierSum> sums(num_dims_);
-  for (std::size_t i = 0; i < num_users_; ++i) {
-    const double* row = values_.data() + i * num_dims_;
-    for (std::size_t j = 0; j < num_dims_; ++j) sums[j].Add(row[j]);
-  }
+  // Column sums with compensated accumulation; one serial pass over the
+  // matrix. The rows are resident, so the pass is bound by memory
+  // bandwidth, not by pulls: ChunkSource's parallel ordered pass would
+  // only add a turn handoff per chunk.
+  ColumnMeanFold fold(num_dims_, [](double v, std::size_t) { return v; });
+  fold.Add(values_);
   auto fresh = std::make_shared<MeanCache>();
   fresh->version = version_;
-  fresh->mean.resize(num_dims_);
-  for (std::size_t j = 0; j < num_dims_; ++j) {
-    fresh->mean[j] = sums[j].Total() / static_cast<double>(num_users_);
-  }
+  fresh->mean = fold.Means(num_users_);
   mean_cache_.store(fresh, std::memory_order_release);
   return fresh->mean;
 }

@@ -29,8 +29,7 @@ Result<std::span<const double>> ChunkedEstimation::ChunkRows(
   // One buffer per worker thread: chunk bodies never run concurrently on
   // the same thread, and a body is done with the previous span before
   // its next pull.
-  static thread_local data::ChunkBuffer buffer;
-  return source_->Chunk(range.chunk, &buffer);
+  return source_->Chunk(range.chunk, &data::PerThreadChunkBuffer());
 }
 
 ChunkRange ChunkedEstimation::Range(std::size_t c) const {

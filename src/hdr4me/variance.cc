@@ -151,27 +151,16 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
         std::max(0.0, result.estimated_second_moment[j] -
                           Sq(result.estimated_mean[j]));
   }
-  // True variance: one streaming pass, chunks in user order, so the
+  // True variance: one ordered pass, users in order, so the
   // per-dimension compensated sums match the resident-dataset loop bit
   // for bit.
   HDLDP_ASSIGN_OR_RETURN(const std::vector<double> true_mean,
                          source.TrueMean());
-  std::vector<NeumaierSum> acc(d);
-  data::ChunkBuffer buffer;
-  for (std::size_t c = 0; c < source.num_chunks(); ++c) {
-    HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                           source.Chunk(c, &buffer));
-    const std::size_t users = source.ChunkUsers(c);
-    for (std::size_t i = 0; i < users; ++i) {
-      for (std::size_t j = 0; j < d; ++j) {
-        acc[j].Add(Sq(rows[i * d + j] - true_mean[j]));
-      }
-    }
-  }
-  result.true_variance.resize(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    result.true_variance[j] = acc[j].Total() / static_cast<double>(n);
-  }
+  HDLDP_ASSIGN_OR_RETURN(
+      result.true_variance,
+      data::OrderedColumnMean(source, [&](double v, std::size_t j) {
+        return Sq(v - true_mean[j]);
+      }));
   HDLDP_ASSIGN_OR_RETURN(
       result.mse, protocol::MeanSquaredError(result.estimated_variance,
                                              result.true_variance));

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/chunk_source.h"
 #include "data/dataset.h"
 #include "data/generator_source.h"
@@ -91,6 +92,112 @@ TEST(ChunkSourceTest, DefaultStreamingTrueMeanMatchesDatasetBitwise) {
   const auto expected = dataset.TrueMean();
   for (std::size_t j = 0; j < expected.size(); ++j) {
     EXPECT_EQ(Bits(streamed.value()[j]), Bits(expected[j])) << j;
+  }
+}
+
+void ExpectTrueMeanBits(const ChunkSource& source, const Dataset& dataset) {
+  const auto mean = source.TrueMean();
+  ASSERT_TRUE(mean.ok()) << mean.status().ToString();
+  const std::vector<double> expected = dataset.TrueMean();
+  ASSERT_EQ(mean.value().size(), expected.size());
+  for (std::size_t j = 0; j < expected.size(); ++j) {
+    EXPECT_EQ(Bits(mean.value()[j]), Bits(expected[j])) << j;
+  }
+}
+
+// Three full chunks and a ragged 17-user tail: the parallel pass's turn
+// order, not its pull order, decides the bits.
+constexpr std::size_t kRaggedUsers = 3 * kUsersPerChunk + 17;
+
+TEST(ChunkSourceTest, ParallelTrueMeanMatchesDatasetOnEverySource) {
+  GaussianSpec spec;
+  spec.num_users = kRaggedUsers;
+  spec.num_dims = 7;
+  const std::uint64_t data_seed = 91;
+  const Dataset eager = GenerateChunkKeyed(spec, data_seed).value();
+  const GeneratorChunkSource generator =
+      GeneratorChunkSource::Create(spec, data_seed).value();
+  ExpectTrueMeanBits(generator, eager);
+
+  const std::string dir = TempShardDir("parallel_true_mean");
+  ShardWriterOptions shard_opts;
+  shard_opts.chunks_per_file = 1;
+  ASSERT_TRUE(WriteShards(generator, dir, shard_opts).ok());
+  const auto shard = ShardFileSource::Open(dir);
+  ASSERT_TRUE(shard.ok());
+  ExpectTrueMeanBits(shard.value(), eager);
+
+  // An unaligned slice gathers every chunk from two generator chunks.
+  const std::size_t first = 1000;
+  const std::size_t users = kRaggedUsers - first;
+  const SlicedChunkSource slice(&generator, first, users);
+  Dataset sliced = Dataset::Create(users, spec.num_dims).value();
+  ASSERT_TRUE(sliced.FillRows(0, eager.Rows(first, users)).ok());
+  ExpectTrueMeanBits(slice, sliced);
+}
+
+TEST(ChunkSourceTest, TrueMeanInsideSaturatedParallelForKeepsBits) {
+  GaussianSpec spec;
+  spec.num_users = kRaggedUsers;
+  spec.num_dims = 5;
+  const Dataset eager = GenerateChunkKeyed(spec, 92).value();
+  const GeneratorChunkSource generator =
+      GeneratorChunkSource::Create(spec, 92).value();
+  const std::vector<double> expected = eager.TrueMean();
+  // More outer indices than pool threads: every worker is inside an
+  // outer body, so each inner pass has to drain on its calling thread.
+  ThreadPool& pool = ThreadPool::Shared();
+  const std::size_t outer = 2 * (pool.num_threads() + 1);
+  std::vector<Result<std::vector<double>>> means(
+      outer, Status::Internal("not run"));
+  pool.ParallelFor(0, outer,
+                   [&](std::size_t i) { means[i] = generator.TrueMean(); });
+  for (std::size_t i = 0; i < outer; ++i) {
+    ASSERT_TRUE(means[i].ok()) << i << ": " << means[i].status().ToString();
+    for (std::size_t j = 0; j < expected.size(); ++j) {
+      EXPECT_EQ(Bits(means[i].value()[j]), Bits(expected[j])) << i << ":" << j;
+    }
+  }
+}
+
+// Fails every pull of one chunk. FaultInjectingChunkSource cannot stand
+// in: its TrueMean() forwards to the unfaulted base.
+class FailingChunkSource final : public ChunkSource {
+ public:
+  FailingChunkSource(const ChunkSource* base, std::size_t failing_chunk)
+      : base_(base), failing_chunk_(failing_chunk) {}
+
+  std::size_t num_users() const override { return base_->num_users(); }
+  std::size_t num_dims() const override { return base_->num_dims(); }
+  Result<std::span<const double>> Chunk(std::size_t chunk,
+                                        ChunkBuffer* buffer) const override {
+    if (chunk == failing_chunk_) {
+      return Status::DataLoss("chunk " + std::to_string(chunk) + " lost");
+    }
+    return base_->Chunk(chunk, buffer);
+  }
+
+ private:
+  const ChunkSource* base_;
+  std::size_t failing_chunk_;
+};
+
+TEST(ChunkSourceTest, TrueMeanReturnsFailedPullStatus) {
+  GaussianSpec spec;
+  spec.num_users = kRaggedUsers;
+  spec.num_dims = 3;
+  const GeneratorChunkSource generator =
+      GeneratorChunkSource::Create(spec, 93).value();
+  for (const std::size_t failing : {std::size_t{0}, std::size_t{2},
+                                    generator.num_chunks() - 1}) {
+    const FailingChunkSource source(&generator, failing);
+    const auto mean = source.TrueMean();
+    ASSERT_FALSE(mean.ok()) << failing;
+    EXPECT_EQ(mean.status().code(), StatusCode::kDataLoss) << failing;
+    EXPECT_NE(mean.status().ToString().find(
+                  "chunk " + std::to_string(failing) + " lost"),
+              std::string::npos)
+        << mean.status().ToString();
   }
 }
 

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/math.h"
+#include "common/rng.h"
 
 namespace hdldp {
 namespace {
@@ -126,6 +129,35 @@ TEST(SummationTest, NeumaierRecoversLostLowOrderBits) {
   for (int i = 0; i < 10000; ++i) acc.Add(1.0);
   acc.Add(-1e16);
   EXPECT_EQ(acc.Total(), 10000.0);
+}
+
+TEST(SummationTest, NeumaierAddMatchesTextbookBranchBitwise) {
+  // The select form must keep the bits of Neumaier's branch. Mixed signs
+  // and magnitudes take both compensation arms, plus the signed zeros and
+  // ties between |sum| and |x|.
+  Rng rng(17);
+  std::vector<double> xs = {0.0, -0.0, 1.0, -1.0, 1e16, 3.0, -1e16, 0.5};
+  for (int i = 0; i < 5000; ++i) {
+    const double scale = i % 7 == 0 ? 1e12 : (i % 3 == 0 ? 1e-9 : 1.0);
+    xs.push_back(rng.Uniform(-0.5, 0.5) * scale);
+  }
+  double ref_sum = 0.0;
+  double ref_compensation = 0.0;
+  NeumaierSum acc;
+  for (const double x : xs) {
+    const double t = ref_sum + x;
+    if (std::fabs(ref_sum) >= std::fabs(x)) {
+      ref_compensation += (ref_sum - t) + x;
+    } else {
+      ref_compensation += (x - t) + ref_sum;
+    }
+    ref_sum = t;
+    acc.Add(x);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(acc.RawSum()),
+              std::bit_cast<std::uint64_t>(ref_sum));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(acc.Compensation()),
+              std::bit_cast<std::uint64_t>(ref_compensation));
+  }
 }
 
 TEST(SummationTest, StableSumMatchesExact) {
